@@ -36,10 +36,14 @@ from repro.influence.rrset import (
     generate_rr_local,
 )
 
-# Below this many RR sets, a Spark job's fixed overhead (~0.3 s) dwarfs the
-# work; generate on the driver with the identical kernels instead. The TIM
-# baselines' KPT-estimation batches in particular are tiny and frequent.
-_LOCAL_GEN_THRESHOLD = 20_000
+# A Spark generation job costs about 0.3 s of fixed overhead (task
+# scheduling, graph broadcast, Arrow collect): on a 4-core machine with a
+# local[2] master, a call took 0.30-0.35 s longer on Spark than on the
+# driver at 20K-100K sets, while the batched kernel made 2.6-4.0M RR-set
+# members/s on the driver. So calls expected to produce fewer than ~1M
+# members (n_rr × mean RR-set size) run locally. Both paths return the same
+# sets for a seed (rrset.py), so this decides only where the work runs.
+_LOCAL_GEN_MEMBERS = 1_000_000
 
 # Paper Table 2 (LastFM at native scale; Flixster budgets scaled by n ratio
 # 6K/30K = 1/5). WC presets use uniform budgets as in §5.2.3.
@@ -104,19 +108,19 @@ class Instance:
         row = self.edge_probs[0 if self.shared_probs else adv]
         return pd.DataFrame({"src": self.src, "dst": self.dst, "p": row})
 
+    def _generate(
+        self, spark: SparkSession, cpe: np.ndarray, n_rr: int, seed: int, kernel: str
+    ) -> RRCollection:
+        """RR sets on the driver or on Spark, by expected members. E|R| for
+        advertiser i is Σ_v σ_i({v}) / n; uniform sampling weights it by cpe."""
+        mean_size = cpe @ self.sigma1.sum(axis=1) / (cpe.sum() * self.n)
+        if n_rr * mean_size <= _LOCAL_GEN_MEMBERS:
+            return generate_rr_local(self.csr, cpe, n_rr, seed=seed, kernel=kernel)
+        return generate_rr_collection(spark, self.csr, cpe, n_rr, seed=seed, kernel=kernel)
+
     def rr_gen(self, spark: SparkSession, kernel: str = "standard"):
         """Uniform-sampling RR generator for RMA: gen(n_rr, seed)."""
-
-        def gen(n_rr: int, seed: int) -> RRCollection:
-            if n_rr <= _LOCAL_GEN_THRESHOLD:
-                return generate_rr_local(
-                    self.csr, self.cpe, n_rr, seed=seed, kernel=kernel
-                )
-            return generate_rr_collection(
-                spark, self.csr, self.cpe, n_rr, seed=seed, kernel=kernel
-            )
-
-        return gen
+        return lambda n_rr, seed: self._generate(spark, self.cpe, n_rr, seed, kernel)
 
     def rr_gen_adv(self, spark: SparkSession, kernel: str = "standard"):
         """Per-advertiser RR generator for the TI baselines: gen(adv, n_rr, seed)."""
@@ -124,13 +128,7 @@ class Instance:
         def gen(adv: int, n_rr: int, seed: int) -> RRCollection:
             onehot = np.zeros(self.h)
             onehot[adv] = self.cpe[adv]
-            if n_rr <= _LOCAL_GEN_THRESHOLD:
-                return generate_rr_local(
-                    self.csr, onehot, n_rr, seed=seed, kernel=kernel
-                )
-            return generate_rr_collection(
-                spark, self.csr, onehot, n_rr, seed=seed, kernel=kernel
-            )
+            return self._generate(spark, onehot, n_rr, seed, kernel)
 
         return gen
 

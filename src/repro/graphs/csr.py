@@ -7,8 +7,8 @@ in-CSR edge order, one row per advertiser (or a single shared row under the
 Weighted-Cascade model, where all ads share ``p_uv = 1/indeg(v)``).
 
 For the SUBSIM kernel we additionally pre-sort each node's in-edge slice by
-probability (descending) per advertiser, so the geometric-skipping sampler
-can use the sorted prefix as its envelope.
+probability (descending) per advertiser, so the subset sampler reads its
+envelope, the slice's largest probability, from the slice's first entry.
 """
 from __future__ import annotations
 
@@ -86,21 +86,17 @@ def build_csr(
     out_indices = dst[out_order].astype(np.int64)
     out_probs = probs2d[:, out_order]
 
-    rows = in_probs.shape[0]
-    in_probs_sorted = np.empty_like(in_probs)
-    in_indices_sorted = np.empty((rows, m), dtype=np.int64)
-    in_equal_prob = np.zeros((rows, n), dtype=bool)
-    for r in range(rows):
-        for v in range(n):
-            lo, hi = in_indptr[v], in_indptr[v + 1]
-            if hi == lo:
-                in_equal_prob[r, v] = True
-                continue
-            sl = in_probs[r, lo:hi]
-            order = np.argsort(-sl, kind="stable")
-            in_probs_sorted[r, lo:hi] = sl[order]
-            in_indices_sorted[r, lo:hi] = in_indices[lo:hi][order]
-            in_equal_prob[r, v] = bool(sl.max() - sl.min() < 1e-15)
+    # Each (row, node) slice sorted by descending probability, ties kept in
+    # in-CSR order: one stable lexsort per row over (node, -p).
+    deg = np.diff(in_indptr)
+    node = np.broadcast_to(np.repeat(np.arange(n), deg), in_probs.shape)
+    order = np.lexsort((-in_probs, node))
+    in_probs_sorted = np.take_along_axis(in_probs, order, axis=1)
+    in_indices_sorted = in_indices[order]
+    in_equal_prob = np.ones((in_probs.shape[0], n), dtype=bool)
+    has = deg > 0
+    first, last = in_indptr[:-1][has], in_indptr[1:][has] - 1
+    in_equal_prob[:, has] = in_probs_sorted[:, first] - in_probs_sorted[:, last] < 1e-15
 
     return CSRGraph(
         n=n,

@@ -6,24 +6,37 @@ reverse BFS from a uniformly random root with advertiser-i edge
 probabilities. Lemma 4.1: ``π(S⃗) = nΓ·E[Λ(S⃗, R)]``, so coverage over a
 collection estimates revenue with a single, identically-distributed sample.
 
-Generation is the dominant cost of every RR-set algorithm (Appendix C), so
-it is the distributed piece: a task DataFrame (one row per RR id) flows
-through ``mapInPandas`` with the CSR graph broadcast to executors; member
-rows come back as Arrow batches. Two kernels share this harness:
+Generation is the dominant cost of every RR-set algorithm (Appendix C). Its
+unit of work is a *block*: the ``BLOCK`` consecutive RR ids starting at
+``b·BLOCK`` (the last block is cut at ``n_rr``), built by one call of
+``_rr_block`` from an RNG seeded with ``(seed, b)``. A block runs one
+level-synchronous reverse BFS over all of its RR sets: each level gathers
+the in-edges of every frontier entry, draws their coins in one vector, and
+drops the ``(rr, node)`` pairs the block has already visited (a sorted key
+array).
 
-- ``standard``: vectorised Bernoulli draw over each frontier node's in-edges
-  (O(indeg) per node).
-- ``subsim``: subset sampling in the spirit of SUBSIM [34] — a binomial
-  count + Floyd subset draw when a node's in-edge probabilities are all
-  equal (the Weighted-Cascade case), and sorted geometric skipping with
-  envelope rejection otherwise (O(E[#selected]) per node).
+Seeding contract: a collection depends only on ``(seed, n_rr, kernel)``,
+the graph, the cpe weights and ``BLOCK``. ``generate_rr_local`` runs the
+blocks in order on the driver; ``generate_rr_collection`` sends one task row
+per block through ``mapInPandas`` with the CSR graph broadcast. Both return
+bitwise-identical collections, for any partition count: the path decides
+*where* the work runs, never *what* it produces.
+
+Two kernels draw the in-edges that a frontier entry activates:
+
+- ``standard``: one Bernoulli coin per in-edge (O(indeg) per entry).
+- ``subsim``: subset sampling in the spirit of SUBSIM [34]. Draw
+  k ~ Binomial(d, p_max) envelope hits among the d in-edges, put them on k
+  distinct positions, and keep the hit on edge j with probability
+  p_j / p_max, so each edge is selected independently with probability p_j
+  for O(1 + d·p_max) work. When all of a node's in-edge probabilities are
+  equal (Weighted Cascade), every hit is kept and no thinning coin is drawn.
 
 Both kernels draw from the *same distribution* over RR sets (tested), which
 is the property the paper relies on in Appendix D.2.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,169 +45,105 @@ from pyspark.sql import SparkSession
 
 from repro.graphs.csr import CSRGraph
 
-
-# ---------------------------------------------------------------------------
-# Kernels (top-level so Spark workers can import them)
-# ---------------------------------------------------------------------------
-
-
-def _sample_in_edges_standard(
-    v: int, adv_row: int, g: CSRGraph, rng: np.random.Generator, pool=None
-) -> np.ndarray:
-    """Activated in-neighbours of v: independent Bernoulli per in-edge."""
-    lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
-    if hi == lo:
-        return _EMPTY
-    pr = g.in_probs[adv_row, lo:hi]
-    u = rng.random(hi - lo)
-    return g.in_indices[lo:hi][u < pr]
-
+# RR ids per block. Part of the seeding contract: changing it changes every
+# collection generated from a given seed.
+BLOCK = 4096
 
 _EMPTY = np.empty(0, dtype=np.int64)
 
 
-class _UniformPool:
-    """Block-drawn uniforms with scalar reads — scalar Generator calls are
-    ~10× slower than amortised block draws, and the SUBSIM loop is all
-    scalar draws."""
-
-    __slots__ = ("rng", "buf", "pos")
-
-    def __init__(self, rng: np.random.Generator, block: int = 1 << 14):
-        self.rng = rng
-        self.buf = rng.random(block)
-        self.pos = 0
-
-    def next(self) -> float:
-        buf, pos = self.buf, self.pos
-        if pos >= len(buf):
-            self.buf = buf = self.rng.random(len(buf))
-            self.pos = pos = 0
-        self.pos = pos + 1
-        return buf[pos]
+# ---------------------------------------------------------------------------
+# Block kernel (top-level so Spark workers can import it)
+# ---------------------------------------------------------------------------
 
 
-# Above this expected number of envelope hits, vectorised Bernoulli beats the
-# scalar skipping loop (numpy does O(d) work at C speed; the loop does
-# O(1 + d·p̄) at Python speed).
-_SUBSIM_HIT_CUTOFF = 4.0
+def _segments(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, offset) of sum(counts) slots, entry e owning counts[e] of them."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    start = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - start[owner]
 
 
-def _sample_in_edges_subsim(
-    v: int, adv_row: int, g: CSRGraph, rng: np.random.Generator, pool: _UniformPool
-) -> np.ndarray:
-    """Activated in-neighbours of v via subset sampling (SUBSIM-style).
+def _hits_standard(g: CSRGraph, rng: np.random.Generator, row, v):
+    """(frontier entry, in-neighbour) pairs: one Bernoulli coin per in-edge."""
+    lo = g.in_indptr[v]
+    e, off = _segments(g.in_indptr[v + 1] - lo)
+    edge = lo[e] + off
+    hit = rng.random(len(edge)) < g.in_probs[row[e], edge]
+    return e[hit], g.in_indices[edge[hit]]
 
-    Sorted-descending envelope with geometric skipping: position j is an
-    envelope hit with probability p_env (the max of the remaining probs),
-    and a hit survives thinning with p_j/p_env, so each position is selected
-    with exactly p_j, independently. Under equal probabilities (the
-    Weighted-Cascade case) the thinning always accepts. Geometric jumps are
-    drawn by inversion from the uniform pool. Work is O(1 + #hits) instead
-    of O(indeg); dense high-probability slices fall back to the vectorised
-    kernel (hybrid cutoff), which SUBSIM's grouping also does in spirit.
+
+def _distinct_positions(rng: np.random.Generator, d: np.ndarray, k: np.ndarray):
+    """(entry, position) pairs: k[e] distinct positions drawn uniformly from
+    [0, d[e]) for each entry e.
+
+    Entries with 2k ≤ d draw their positions with replacement; when the k
+    draws all differ they are a uniform k-subset. The other entries, and
+    those with a repeat (likely only when k² is comparable to d), take the
+    k smallest of d random 40-bit keys instead: O(d) work, but also a
+    uniform k-subset, so the mixture is one too.
     """
-    lo, hi = g.in_indptr[v], g.in_indptr[v + 1]
-    d = hi - lo
-    if d == 0:
-        return _EMPTY
-    probs = g.in_probs_sorted[adv_row]
-    p_first = probs[lo]
-    if p_first <= 0.0:
-        return _EMPTY
-    if p_first * d > _SUBSIM_HIT_CUTOFF:
-        return _sample_in_edges_standard(v, adv_row, g, rng)
-    idx = g.in_indices_sorted[adv_row]
-    equal = g.in_equal_prob[adv_row, v]
-    if equal and p_first >= 1.0:
-        return idx[lo:hi]
-    out: list[int] = []
-    pos = 0
-    p_env = p_first
-    log1m = math.log1p(-p_env) if p_env < 1.0 else None
-    while pos < d:
-        if p_env >= 1.0:
-            j = pos
-        else:
-            u = 1.0 - pool.next()  # in (0, 1]
-            j = pos + int(math.log(u) / log1m)  # geometric(p_env) - 1 skips
-        if j >= d:
-            break
-        if equal:
-            out.append(idx[lo + j])
-        else:
-            pj = probs[lo + j]
-            if pj >= p_env or pool.next() < pj / p_env:
-                out.append(idx[lo + j])
-            if pj < p_env:
-                p_env = pj if pj > 0.0 else 0.0
-                if p_env <= 0.0:
-                    break
-                log1m = math.log1p(-p_env) if p_env < 1.0 else None
-        pos = j + 1
-    if not out:
-        return _EMPTY
-    return np.asarray(out, dtype=np.int64)
+    span = int(d.max()) + 1
+    redo = 2 * k > d
+    e, _ = _segments(np.where(redo, 0, k))
+    key = np.sort(e * span + rng.integers(d[e]))
+    redo[key[1:][key[1:] == key[:-1]] // span] = True
+    key = key[~redo[key // span]]
+    re, off = _segments(np.where(redo, d, 0))
+    order = np.argsort((re << 40) | rng.integers(1 << 40, size=len(re)))
+    pick = order[off < k[re]]
+    return (np.concatenate([key // span, re[pick]]),
+            np.concatenate([key % span, off[pick]]))
 
 
-_KERNELS = {
-    "standard": _sample_in_edges_standard,
-    "subsim": _sample_in_edges_subsim,
-}
+def _hits_subsim(g: CSRGraph, rng: np.random.Generator, row, v):
+    """(frontier entry, in-neighbour) pairs by envelope subset sampling on the
+    probability-sorted in-edge slices."""
+    lo = g.in_indptr[v]
+    d = g.in_indptr[v + 1] - lo
+    p_max = np.zeros(len(v))
+    has = d > 0
+    p_max[has] = g.in_probs_sorted[row[has], lo[has]]
+    e, off = _distinct_positions(rng, d, rng.binomial(d, p_max))
+    edge = lo[e] + off
+    keep = g.in_equal_prob[row[e], v[e]]
+    thin = ~keep
+    keep[thin] = (rng.random(np.count_nonzero(thin))
+                  < g.in_probs_sorted[row[e[thin]], edge[thin]] / p_max[e[thin]])
+    return e[keep], g.in_indices_sorted[row[e[keep]], edge[keep]]
 
 
-def _run_rr_batch(
-    ids: np.ndarray,
-    g: CSRGraph,
-    cpe_w: np.ndarray,
-    seed: int,
-    kernel: str,
-    stamp_buf: np.ndarray,
-    stamp0: int,
-):
-    """Generate RR sets for a batch of task ids; returns exploded arrays.
+_KERNELS = {"standard": _hits_standard, "subsim": _hits_subsim}
 
-    Deterministic in (seed, first id of batch): one RNG stream drives the
-    advertiser draws, roots, and all BFS coins of the batch.
-    """
-    sample = _KERNELS[kernel]
-    rng = np.random.default_rng([seed, int(ids[0])])
-    pool = _UniformPool(rng)
-    n_tasks = len(ids)
-    advs = rng.choice(g.h, size=n_tasks, p=cpe_w)
-    roots = rng.integers(0, g.n, size=n_tasks)
-    out_rr: list[int] = []
-    out_adv: list[int] = []
-    out_node: list[int] = []
-    stamp = stamp0
-    for t in range(n_tasks):
-        stamp += 1
-        rr_id = int(ids[t])
-        adv = int(advs[t])
-        adv_row = 0 if g.shared_probs else adv
-        root = int(roots[t])
-        stamp_buf[root] = stamp
-        members = [root]
-        frontier = [root]
-        while frontier:
-            new: list[int] = []
-            for v in frontier:
-                for w in sample(v, adv_row, g, rng, pool):
-                    w = int(w)
-                    if stamp_buf[w] != stamp:
-                        stamp_buf[w] = stamp
-                        new.append(w)
-            members.extend(new)
-            frontier = new
-        out_rr.extend([rr_id] * len(members))
-        out_adv.extend([adv] * len(members))
-        out_node.extend(members)
-    return (
-        np.asarray(out_rr, dtype=np.int64),
-        np.asarray(out_adv, dtype=np.int64),
-        np.asarray(out_node, dtype=np.int64),
-        stamp,
-    )
+
+def _rr_block(g: CSRGraph, w: np.ndarray, seed: int, kernel: str, block: int, n_rr: int):
+    """Member rows (rr_id, adv, node) of one block, sorted by (rr_id, node)."""
+    hits = _KERNELS[kernel]
+    first = block * BLOCK
+    size = min(BLOCK, n_rr - first)
+    rng = np.random.default_rng([seed, block])
+    adv = rng.choice(g.h, size=size, p=w)
+    row = np.zeros(size, dtype=np.int64) if g.shared_probs else adv
+    n = g.n
+    # Frontier entries (block-local rr, node); seen holds rr·n + node, sorted.
+    rr = np.arange(size)
+    v = rng.integers(0, n, size=size)
+    seen = rr * n + v
+    while len(rr):
+        e, u = hits(g, rng, row[rr], v)
+        key = np.unique(rr[e] * n + u)
+        at = np.searchsorted(seen, key)
+        fresh = seen[np.minimum(at, len(seen) - 1)] != key
+        seen = np.insert(seen, at[fresh], key[fresh])
+        rr, v = np.divmod(key[fresh], n)
+    rr, node = np.divmod(seen, n)
+    return first + rr, adv[rr], node
+
+
+def _frame(blocks) -> pd.DataFrame:
+    """One exploded (rr_id, adv, node) frame from the blocks' member rows."""
+    cols = [np.concatenate(c) for c in zip(*blocks)] or [_EMPTY] * 3
+    return pd.DataFrame(dict(zip(("rr_id", "adv", "node"), cols)))
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +275,10 @@ def from_memberships(
     )
 
 
+def _n_blocks(n_rr: int) -> int:
+    return -(-n_rr // BLOCK)
+
+
 def generate_rr_local(
     csr: CSRGraph,
     cpe: np.ndarray,
@@ -334,14 +287,11 @@ def generate_rr_local(
     seed: int,
     kernel: str = "standard",
 ) -> RRCollection:
-    """Driver-only generation — same kernels, no Spark. For tiny tests."""
+    """Driver-only generation: the same blocks as ``generate_rr_collection``,
+    run in order without Spark."""
     cpe = np.asarray(cpe, dtype=np.float64)
     w = cpe / cpe.sum()
-    stamp_buf = np.zeros(csr.n, dtype=np.int64)
-    rr, adv, node, _ = _run_rr_batch(
-        np.arange(n_rr, dtype=np.int64), csr, w, seed, kernel, stamp_buf, 0
-    )
-    pdf = pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
+    pdf = _frame([_rr_block(csr, w, seed, kernel, b, n_rr) for b in range(_n_blocks(n_rr))])
     return _assemble(csr.n, csr.h, cpe, n_rr, pdf)
 
 
@@ -355,28 +305,22 @@ def generate_rr_collection(
     kernel: str = "standard",
     num_partitions: int | None = None,
 ) -> RRCollection:
-    """Distributed generation: task DataFrame → mapInPandas → Arrow collect."""
+    """Distributed generation: one task row per block → mapInPandas → Arrow
+    collect. The partition count changes only how the blocks are spread."""
     cpe = np.asarray(cpe, dtype=np.float64)
     w = cpe / cpe.sum()
+    n_blocks = _n_blocks(n_rr)
     if num_partitions is None:
-        par = spark.sparkContext.defaultParallelism
-        num_partitions = max(1, min(par * 2, n_rr // 200 + 1))
+        num_partitions = max(1, min(2 * spark.sparkContext.defaultParallelism, n_blocks))
     bc = spark.sparkContext.broadcast((csr, w))
 
     def gen(batches):
         g, weights = bc.value
-        stamp_buf = np.zeros(g.n, dtype=np.int64)
-        stamp = 0
         for b in batches:
-            ids = b["id"].to_numpy()
-            if len(ids) == 0:
-                continue
-            rr, adv, node, stamp = _run_rr_batch(
-                ids, g, weights, seed, kernel, stamp_buf, stamp
-            )
-            yield pd.DataFrame({"rr_id": rr, "adv": adv, "node": node})
+            for block in b["id"].to_numpy():
+                yield _frame([_rr_block(g, weights, seed, kernel, int(block), n_rr)])
 
-    tasks = spark.range(0, n_rr, numPartitions=num_partitions)
+    tasks = spark.range(0, n_blocks, numPartitions=num_partitions)
     pdf = tasks.mapInPandas(gen, schema="rr_id long, adv long, node long").toPandas()
     bc.unpersist()
     return _assemble(csr.n, csr.h, cpe, n_rr, pdf)

@@ -67,6 +67,44 @@ def test_sorted_aux(seed):
         assert np.allclose([p for p, _ in pairs], [p for p, _ in pairs_sorted])
 
 
+def _naive_sorted_aux(csr):
+    """Per-node reference for the SUBSIM auxiliaries: a stable descending
+    sort of every (row, node) slice."""
+    rows = csr.in_probs.shape[0]
+    probs = np.empty_like(csr.in_probs)
+    idx = np.empty((rows, csr.m), dtype=np.int64)
+    equal = np.zeros((rows, csr.n), dtype=bool)
+    for r in range(rows):
+        for v in range(csr.n):
+            lo, hi = csr.in_indptr[v], csr.in_indptr[v + 1]
+            if hi == lo:
+                equal[r, v] = True
+                continue
+            sl = csr.in_probs[r, lo:hi]
+            order = np.argsort(-sl, kind="stable")
+            probs[r, lo:hi] = sl[order]
+            idx[r, lo:hi] = csr.in_indices[lo:hi][order]
+            equal[r, v] = bool(sl.max() - sl.min() < 1e-15)
+    return probs, idx, equal
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sorted_aux_matches_naive_reference(seed):
+    """The vectorised SUBSIM auxiliaries equal a per-node sort bitwise,
+    including the order of tied probabilities."""
+    n = 120
+    src, dst = powerlaw_edges(n, 1500, seed=seed)
+    g = np.random.default_rng(seed + 30)
+    probs = np.round(g.uniform(0.0, 0.5, size=(3, len(src))), 1)  # many ties
+    probs[1, dst == dst[0]] = 0.25  # one node with equal probabilities
+    csr = build_csr(n, src, dst, probs, h=3, shared_probs=False)
+    ref_probs, ref_idx, ref_equal = _naive_sorted_aux(csr)
+    assert csr.in_probs_sorted.tobytes() == ref_probs.tobytes()
+    assert np.array_equal(csr.in_indices_sorted, ref_idx)
+    assert np.array_equal(csr.in_equal_prob, ref_equal)
+    assert csr.in_equal_prob[1, dst[0]] and not csr.in_equal_prob.all()
+
+
 def test_equal_prob_flag_wc():
     """Weighted-Cascade probabilities are equal per node → flag always set."""
     src, dst = powerlaw_edges(50, 300, seed=3)

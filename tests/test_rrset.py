@@ -5,10 +5,12 @@ import pytest
 
 import pyspark.sql.functions as F
 
+from repro.experiments import instances
 from repro.graphs.csr import build_csr
 from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import singleton_spreads
 from repro.influence.rrset import (
+    BLOCK,
     from_memberships,
     generate_rr_collection,
     generate_rr_local,
@@ -140,6 +142,84 @@ def test_spark_generation_deterministic(spark, small_csr):
         a.exploded.sort_values(["rr_id", "node"]).reset_index(drop=True),
         b.exploded.sort_values(["rr_id", "node"]).reset_index(drop=True),
     )
+
+
+def _sorted_rows(rr):
+    return rr.exploded.sort_values(["rr_id", "node"]).reset_index(drop=True)
+
+
+def _assert_same_collection(a, b):
+    assert a.n_rr == b.n_rr
+    pd.testing.assert_frame_equal(_sorted_rows(a), _sorted_rows(b))
+    assert np.array_equal(a.rr_adv, b.rr_adv)
+
+
+# Two full blocks and a partial one.
+N_INVARIANT = 2 * BLOCK + 123
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_local_and_spark_paths_bitwise_equal(spark, small_csr, kernel):
+    """The same seed gives the same collection on the driver and on Spark,
+    whatever the partition count: blocks, not partitions, carry the seeds."""
+    loc = generate_rr_local(small_csr, CPE, N_INVARIANT, seed=14, kernel=kernel)
+    for parts in (1, 3, 8):
+        dist = generate_rr_collection(
+            spark, small_csr, CPE, N_INVARIANT, seed=14, kernel=kernel,
+            num_partitions=parts,
+        )
+        _assert_same_collection(loc, dist)
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+def test_instance_generators_path_invariant(spark, monkeypatch, kernel):
+    """Both branches of the members rule in Instance.rr_gen / rr_gen_adv
+    return the same collection for a seed."""
+    inst = instances.get_instance(spark, "tiny", alpha=0.1, cost_model="linear")
+    out = {}
+    for branch, limit in (("local", float("inf")), ("spark", 0)):
+        monkeypatch.setattr(instances, "_LOCAL_GEN_MEMBERS", limit)
+        out[branch] = (
+            inst.rr_gen(spark, kernel)(N_INVARIANT, 15),
+            inst.rr_gen_adv(spark, kernel)(1, N_INVARIANT, 16),
+        )
+    for a, b in zip(out["local"], out["spark"]):
+        _assert_same_collection(a, b)
+    assert set(np.unique(out["local"][1].rr_adv)) == {1}
+
+
+def _star_csr(probs):
+    """Node 0 with in-neighbours 1..d; no other node has in-edges."""
+    d = len(probs)
+    src = np.arange(1, d + 1, dtype=np.int64)
+    dst = np.zeros(d, dtype=np.int64)
+    return build_csr(d + 1, src, dst, np.asarray(probs)[None, :], h=1, shared_probs=True)
+
+
+@pytest.mark.parametrize("kernel", ["standard", "subsim"])
+@pytest.mark.parametrize(
+    "probs",
+    [
+        # Heterogeneous (TIC-like), high enough that some nodes draw more
+        # envelope hits than half their in-degree.
+        np.linspace(0.05, 0.7, 12),
+        np.full(12, 1.0 / 12),  # Weighted Cascade
+        np.full(12, 0.6),  # equal and dense
+    ],
+    ids=["tic", "wc", "equal_dense"],
+)
+def test_in_neighbour_marginals_exact(kernel, probs):
+    """RR sets rooted at the star's centre contain in-neighbour j with
+    probability p_j: the SUBSIM envelope-and-thinning draw selects each
+    in-edge independently with its own probability."""
+    csr = _star_csr(probs)
+    rr = generate_rr_local(csr, [1.0], 13 * 20000, seed=17, kernel=kernel)
+    ex = rr.exploded
+    rooted = ex["rr_id"][ex["node"] == 0].to_numpy()  # only v's RR sets hold v
+    members = ex[ex["rr_id"].isin(rooted)]
+    freq = np.bincount(members["node"], minlength=13)[1:] / len(rooted)
+    se = np.sqrt(probs * (1 - probs) / len(rooted))
+    assert np.all(np.abs(freq - probs) < 5 * se), (freq, probs)
 
 
 def test_from_memberships():
