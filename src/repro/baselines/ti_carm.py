@@ -7,11 +7,12 @@ Structure (per [5] and the complexity analysis in Appendix C):
 - latent seed sizes start at s_i = 1 and double whenever |S_i| reaches
   s_i, each doubling re-running KptEstimation and regenerating the
   advertiser's collection at the larger θ;
-- greedy selection by marginal gain (TI-CARM) or marginal rate (TI-CSRM),
-  with *conservative* budget feasibility — the estimated revenue is
-  inflated by (1+ε) before being charged against the budget, which is how
-  [5] guarantees feasibility from a sample and why their allocations
-  under-utilise the budget (§2.2.1 limitation (iv));
+- greedy selection by marginal gain (TI-CARM) or marginal rate (TI-CSRM)
+  on the CELF engine in ``repro.core.celf``, with *conservative* budget
+  feasibility — the estimated revenue is inflated by (1+ε) before being
+  charged against the budget, which is how [5] guarantees feasibility from
+  a sample and why their allocations under-utilise the budget (§2.2.1
+  limitation (iv));
 - an advertiser closes when its chosen element would overshoot.
 
 The per-advertiser θ is what makes these algorithms memory- and
@@ -21,13 +22,12 @@ are why TI-CSRM — which selects many cheap seeds — is the slowest.
 from __future__ import annotations
 
 import heapq
-
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from repro.baselines.tim import kpt_estimation, tim_theta
-from repro.core.greedy import _rate, _EPS
+from repro.core.celf import EPS, Seeds, heap_of, lazy_max, rate
 from repro.graphs.csr import CSRGraph
 from repro.influence.rrset import RRCollection
 
@@ -171,50 +171,42 @@ def ti_rm(
         )
         for i in range(h)
     ]
-    alloc = [set() for _ in range(h)]
-    spend = np.zeros(h)
-    used: set[int] = set()
+    seeds = Seeds(costs, budgets)
     closed: set[int] = set()
-    epoch_of = [0] * h
 
-    def push_all(heap, i):
+    def entries(i):
+        """Advertiser i's nodes with c_i(u) + (1+ε)·π̂_i({u}) ≤ B_i on its
+        current sample, keyed by singleton gain or rate."""
         s = samples[i]
         counts = s.rr.singleton_cover_counts()[i].astype(np.float64)
         g0 = s.cpe_i * n * counts / s.rr.n_rr
-        for u in range(n):
-            if u in used or u in alloc[i]:
-                continue
-            if costs[i, u] + (1.0 + eps) * g0[u] <= budgets[i] + _EPS:
-                key = g0[u] if rule == "gain" else _rate(g0[u], float(costs[i, u]))
-                heapq.heappush(heap, (-key, u, i, epoch_of[i]))
+        ok = costs[i] + (1.0 + eps) * g0 <= budgets[i] + EPS
+        nodes = np.flatnonzero(ok)
+        key = g0 if rule == "gain" else rate(g0, costs[i])
+        return heap_of(key[nodes], np.full(len(nodes), i), nodes)
 
-    heap: list = []
-    for i in range(h):
-        push_all(heap, i)
+    def gain(u, i):
+        return samples[i].gain(u)
 
-    while heap and len(closed) < h:
-        neg_k, u, i, ep = heapq.heappop(heap)
-        if ep != epoch_of[i] or u in used or i in closed:
-            continue
+    heap = [e for i in range(h) for e in entries(i)]
+    heapq.heapify(heap)
+    key_costs = costs if rule == "rate" else None
+    for u, i, g in lazy_max(heap, gain, key_costs, used=seeds.used, closed=closed):
         s = samples[i]
-        g = s.gain(u)
-        key = g if rule == "gain" else _rate(g, float(costs[i, u]))
-        if heap and key < -neg_k - _EPS:
-            heapq.heappush(heap, (-key, u, i, ep))
-            continue
         # Conservative feasibility: inflate the revenue estimate by (1+ε).
-        if spend[i] + costs[i, u] + (1.0 + eps) * (s.pi_hat() + g) <= budgets[i] + _EPS:
+        if seeds.spend[i] + costs[i, u] + (1.0 + eps) * (s.pi_hat() + g) <= budgets[i] + EPS:
             s.add(u)
-            alloc[i].add(u)
-            used.add(u)
-            spend[i] += costs[i, u]
-            if s.maybe_double(alloc[i]):
-                epoch_of[i] += 1
-                push_all(heap, i)
-        else:
-            closed.add(i)
+            seeds.add(u, i, g)
+            if s.maybe_double(seeds.sets[i]):
+                # Advertiser i's keys are from the old sample: replace them.
+                heap[:] = [e for e in heap if e[2] != i] + entries(i)
+                heapq.heapify(heap)
+            continue
+        closed.add(i)
+        if len(closed) == h:
+            break
     return TIResult(
-        allocation=alloc,
+        allocation=seeds.sets,
         n_rr_total=int(sum(s.spent for s in samples)),
         regenerations=int(sum(s.regens for s in samples)),
         diagnostics={

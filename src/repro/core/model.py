@@ -27,35 +27,12 @@ import numpy as np
 from repro.influence.rrset import RRCollection
 
 
-class AllocState:
-    """Incremental allocation state: supports marginal gains and adds."""
-
-    def gain(self, u: int, i: int) -> float:  # π_i(u | S_i)
-        raise NotImplementedError
-
-    def add(self, u: int, i: int) -> None:
-        raise NotImplementedError
-
-    def pi_i(self, i: int) -> float:
-        raise NotImplementedError
-
-    def pi_total(self) -> float:
-        raise NotImplementedError
-
-
 class RevenueModel:
-    n: int
-    h: int
-    cpe: np.ndarray
-
-    def singleton_pi(self) -> np.ndarray:  # (h, n) of π_i({u})
-        raise NotImplementedError
-
-    def pi_of(self, i: int, nodes) -> float:  # stateless π_i(S)
-        raise NotImplementedError
-
-    def state(self, allocation=None) -> AllocState:
-        raise NotImplementedError
+    """Shared part of the two models. Each also defines ``n``, ``h``,
+    ``cpe``, ``singleton_pi()`` (the (h, n) matrix of π_i({u})),
+    ``pi_of(i, S)`` (a stateless π_i(S)) and ``state(allocation=None)``,
+    whose ``gain(u, i)``, ``add(u, i)`` and ``pi_i(i)`` track an allocation
+    incrementally."""
 
     def pi_alloc(self, allocation) -> float:
         return float(sum(self.pi_of(i, allocation[i]) for i in range(self.h)))
@@ -66,7 +43,7 @@ class RevenueModel:
 # ---------------------------------------------------------------------------
 
 
-class _CoverageState(AllocState):
+class _CoverageState:
     def __init__(self, model: "CoverageRevenueModel", allocation=None):
         self.model = model
         self.covered = np.zeros(model.rr.n_rr, dtype=bool)
@@ -116,11 +93,7 @@ class CoverageRevenueModel(RevenueModel):
         return self._singleton
 
     def pi_of(self, i: int, nodes) -> float:
-        ids = [self.rr.rr_ids_for(int(u), i) for u in nodes]
-        ids = [a for a in ids if len(a)]
-        if not ids:
-            return 0.0
-        return float(len(np.unique(np.concatenate(ids)))) * self.factor
+        return float(self.rr.n_covered(i, nodes)) * self.factor
 
     def state(self, allocation=None) -> _CoverageState:
         return _CoverageState(self, allocation)
@@ -131,7 +104,7 @@ class CoverageRevenueModel(RevenueModel):
 # ---------------------------------------------------------------------------
 
 
-class _ExactState(AllocState):
+class _ExactState:
     def __init__(self, model: "ExactRevenueModel", allocation=None):
         self.model = model
         # Per advertiser: current reached-set bitmask per world.
@@ -245,6 +218,24 @@ class ExactRevenueModel(RevenueModel):
 # ---------------------------------------------------------------------------
 
 
+def check_inputs(costs: np.ndarray, budgets: np.ndarray, cpe, n: int) -> None:
+    """Raise ``ValueError`` unless costs is an (h, n) array and budgets an
+    (h,) array, h = len(cpe), both finite and non-negative, and every cpe is
+    finite and positive. A zero budget is legal."""
+    cpe = np.asarray(cpe, dtype=np.float64)
+    h = len(cpe)
+    if costs.shape != (h, n):
+        raise ValueError(f"costs must have shape (h, n) = {(h, n)}, got {costs.shape}")
+    if budgets.shape != (h,):
+        raise ValueError(f"budgets must have shape (h,) = {(h,)}, got {budgets.shape}")
+    if not (np.isfinite(costs).all() and (costs >= 0).all()):
+        raise ValueError("costs must be finite and non-negative")
+    if not (np.isfinite(budgets).all() and (budgets >= 0).all()):
+        raise ValueError("budgets must be finite and non-negative")
+    if not (np.isfinite(cpe).all() and (cpe > 0).all()):
+        raise ValueError("cpe must be finite and positive")
+
+
 @dataclass
 class RMProblem:
     """Model + budget data for one RM instance (possibly in sampling space)."""
@@ -256,6 +247,7 @@ class RMProblem:
     def __post_init__(self):
         self.costs = np.asarray(self.costs, dtype=np.float64)
         self.budgets = np.asarray(self.budgets, dtype=np.float64)
+        check_inputs(self.costs, self.budgets, self.model.cpe, self.model.n)
 
     @property
     def n(self) -> int:

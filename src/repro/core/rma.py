@@ -30,7 +30,7 @@ from repro.core.bounds import (
     theta_zero,
     ub_mean,
 )
-from repro.core.model import CoverageRevenueModel, RMProblem
+from repro.core.model import CoverageRevenueModel, RMProblem, check_inputs
 from repro.core.rm_oracle import approx_ratio, rm_with_oracle
 from repro.core.seekub import seek_ub
 from repro.influence.rrset import RRCollection
@@ -83,6 +83,7 @@ def rm_without_oracle(
     costs = np.asarray(costs, dtype=np.float64)
     budgets = np.asarray(budgets, dtype=np.float64)
     cpe = np.asarray(cpe, dtype=np.float64)
+    check_inputs(costs, budgets, cpe, n)
     h = len(budgets)
     if delta is None:
         delta = 1.0 / n

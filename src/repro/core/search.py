@@ -9,19 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-
+from repro.core.celf import rate
 from repro.core.model import RMProblem
 from repro.core.threshold_greedy import TGResult, threshold_greedy
 
 
 def gamma_max(prob: RMProblem) -> float:
     """Eqn (6): γ_max = max{B_j · ζ_j(v|∅) : v ∈ V, j ∈ [h]}."""
-    sp = prob.model.singleton_pi()
-    denom = prob.costs + sp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        zeta = np.where(denom > 0, sp / denom, 0.0)
+    zeta = rate(prob.model.singleton_pi(), prob.costs)
     return float((prob.budgets[:, None] * zeta).max())
 
 

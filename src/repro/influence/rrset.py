@@ -184,6 +184,11 @@ class RRCollection:
             return _EMPTY
         return self.sorted_rr[sl[0] : sl[1]]
 
+    def n_covered(self, adv: int, nodes) -> int:
+        """|{R for adv : R ∩ nodes ≠ ∅}| — adv's RR sets hit by ``nodes``."""
+        ids = [self.rr_ids_for(int(u), adv) for u in nodes]
+        return len(np.unique(np.concatenate(ids))) if ids else 0
+
     def singleton_cover_counts(self) -> np.ndarray:
         """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage."""
         key = (

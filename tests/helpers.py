@@ -38,6 +38,26 @@ def random_coverage_problem(
     return RMProblem(model, costs, budgets)
 
 
+def _with(a, idx, v):
+    a = np.array(a, dtype=np.float64)
+    a[idx] = v
+    return a
+
+
+# One case per input check at the API boundary: (id, edit of valid
+# (costs, budgets, cpe), pattern of the ValueError message).
+BAD_INPUTS = [
+    ("costs_shape", lambda c, b, p: (c[:, :-1], b, p), "costs must have shape"),
+    ("budgets_shape", lambda c, b, p: (c, b[:-1], p), "budgets must have shape"),
+    ("negative_cost", lambda c, b, p: (_with(c, (0, 1), -0.5), b, p), "costs must be"),
+    ("nan_cost", lambda c, b, p: (_with(c, (1, 0), np.nan), b, p), "costs must be"),
+    ("negative_budget", lambda c, b, p: (c, _with(b, 0, -1.0), p), "budgets must be"),
+    ("inf_budget", lambda c, b, p: (c, _with(b, 1, np.inf), p), "budgets must be"),
+    ("zero_cpe", lambda c, b, p: (c, b, _with(p, 1, 0.0)), "cpe must be"),
+    ("negative_cpe", lambda c, b, p: (c, b, _with(p, 0, -1.0)), "cpe must be"),
+]
+
+
 def naive_greedy(prob: RMProblem, candidates, i: int):
     """Reference Algorithm 1 — literal pseudocode, no laziness."""
     model, costs, B = prob.model, prob.costs, float(prob.budgets[i])
@@ -100,3 +120,70 @@ def naive_threshold_greedy_main_loop(prob: RMProblem, gamma: float):
             D[i] = {u}
             I.add(i)
     return S, D, I
+
+
+def line1_elements(prob: RMProblem):
+    """Line 1: every element (u, i) with c_i(u) + π_i({u}) ≤ B_i."""
+    sp = prob.model.singleton_pi()
+    return [
+        (u, i)
+        for i in range(prob.h)
+        for u in range(prob.n)
+        if prob.costs[i, u] + sp[i, u] <= prob.budgets[i] + 1e-12
+    ]
+
+
+def _naive_pick(prob: RMProblem, S, live, by_rate: bool):
+    """The live element of maximum key, re-evaluated from a fresh state;
+    ties go to the smaller node, then the smaller advertiser."""
+    state = prob.model.state(S)
+
+    def key(e):
+        u, i = e
+        g = state.gain(u, i)
+        if not by_rate:
+            return g
+        c = prob.costs[i, u]
+        return g / (c + g) if c + g > 0 else 0.0
+
+    return min(live, key=lambda e: (-key(e), e[0], e[1]))
+
+
+def _fits(prob: RMProblem, S, u: int, i: int) -> bool:
+    T = S[i] | {u}
+    return prob.cost_of(i, T) + prob.model.pi_of(i, T) <= prob.budgets[i] + 1e-12
+
+
+def naive_fill(prob: RMProblem, allocation):
+    """Reference Algorithm 3 — no laziness: each step takes the max-rate
+    element over all live ones; one that does not fit is discarded."""
+    S = [set(s) for s in allocation]
+    M = line1_elements(prob)
+    while True:
+        used = set().union(*S)
+        live = [(u, i) for u, i in M if u not in used]
+        if not live:
+            return S
+        u, i = _naive_pick(prob, S, live, by_rate=True)
+        M.remove((u, i))
+        if _fits(prob, S, u, i):
+            S[i].add(u)
+
+
+def naive_budget_greedy(prob: RMProblem, rule: str):
+    """Reference CA-Greedy (rule="gain") / CS-Greedy (rule="rate") — no
+    laziness: the first element that does not fit closes its advertiser."""
+    S = [set() for _ in range(prob.h)]
+    M = line1_elements(prob)
+    closed: set[int] = set()
+    while True:
+        used = set().union(*S)
+        live = [(u, i) for u, i in M if u not in used and i not in closed]
+        if not live:
+            return S
+        u, i = _naive_pick(prob, S, live, by_rate=rule == "rate")
+        M.remove((u, i))
+        if _fits(prob, S, u, i):
+            S[i].add(u)
+        else:
+            closed.add(i)

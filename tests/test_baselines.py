@@ -152,3 +152,37 @@ def test_ti_csrm_selects_more_seeds_than_ti_carm(ti_world):
     csrm = ti_rm(w["gen_adv"], w["csr"], w["costs"], budgets, w["cpe"], rule="rate", **kw)
     assert sum(map(len, csrm.allocation)) >= sum(map(len, carm.allocation))
     assert csrm.regenerations >= carm.regenerations
+
+
+# Outputs of ti_rm on ti_world with budgets (40, 60): both rules regenerate
+# several times, so these pin selection across regenerations exactly.
+TI_PINNED = {
+    "gain": dict(
+        regenerations=5,
+        n_rr_total=125835,
+        allocation=[{1, 83, 101}, {3, 73, 108, 113}],
+    ),
+    "rate": dict(
+        regenerations=10,
+        n_rr_total=212294,
+        allocation=[
+            {6, 11, 12, 15, 18, 19, 20, 24, 28, 39, 55, 60, 68, 91, 95, 100,
+             105, 107, 117, 118},
+            {4, 8, 13, 14, 35, 37, 40, 42, 44, 47, 48, 56, 57, 61, 63, 76, 81,
+             85, 94, 102, 110, 112, 114, 115},
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("rule", ["gain", "rate"])
+def test_ti_rm_exact_across_regenerations(ti_world, rule):
+    w = ti_world
+    res = ti_rm(
+        w["gen_adv"], w["csr"], w["costs"], np.array([40.0, 60.0]), w["cpe"],
+        rule=rule, eps=0.1, sample_scale=0.05, rr_cap=20000, seed=4,
+    )
+    pinned = TI_PINNED[rule]
+    assert res.regenerations == pinned["regenerations"]
+    assert res.n_rr_total == pinned["n_rr_total"]
+    assert res.allocation == pinned["allocation"]

@@ -10,7 +10,9 @@ from repro.core.model import (
 )
 from repro.influence.rrset import from_memberships
 
-from tests.helpers import random_coverage_problem
+from repro.core.rm_oracle import rm_with_oracle
+
+from tests.helpers import BAD_INPUTS, random_coverage_problem
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -114,3 +116,21 @@ def test_factor_formula():
     assert model.pi_of(1, {2}) == pytest.approx(20.0)
     assert model.pi_of(0, {1}) == pytest.approx(20.0)
     assert model.pi_of(0, {2}) == 0.0
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS, ids=lambda c: c[0])
+def test_rmproblem_rejects_bad_inputs(case):
+    _, edit, match = case
+    prob = random_coverage_problem(0)
+    costs, budgets, cpe = edit(prob.costs, prob.budgets, prob.cpe)
+    prob.model.cpe = cpe
+    with pytest.raises(ValueError, match=match):
+        RMProblem(prob.model, costs, budgets)
+
+
+def test_rmproblem_zero_budget_is_legal():
+    prob = random_coverage_problem(0)
+    prob = RMProblem(prob.model, prob.costs, [0.0, prob.budgets[1]])
+    alloc = rm_with_oracle(prob, 0.1).allocation
+    assert alloc[0] == set()
+    assert prob.is_feasible(alloc)

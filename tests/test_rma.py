@@ -11,6 +11,8 @@ from repro.graphs.generators import powerlaw_edges
 from repro.influence.evaluate import evaluate_revenue, singleton_spreads
 from repro.influence.rrset import generate_rr_local
 
+from tests.helpers import BAD_INPUTS
+
 
 @pytest.fixture(scope="module")
 def small_world():
@@ -130,3 +132,19 @@ def test_rma_tiny_instance_ratio():
     rev, _ = evaluate_revenue(big, res.allocation)
     lam = approx_ratio(h, 0.1)
     assert rev >= (lam - 0.1) * opt * 0.9  # 0.9: eval sampling slack
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS, ids=lambda c: c[0])
+def test_rma_rejects_bad_inputs_before_sampling(case):
+    _, edit, match = case
+    n = 5
+    costs, budgets, cpe = edit(np.ones((2, n)), np.array([3.0, 4.0]), np.array([1.0, 1.5]))
+    calls = []
+
+    def gen(n_rr, seed):
+        calls.append(n_rr)
+        raise AssertionError("RR sets generated before input validation")
+
+    with pytest.raises(ValueError, match=match):
+        rm_without_oracle(gen, costs, budgets, cpe, n)
+    assert calls == []
