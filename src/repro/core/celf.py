@@ -57,11 +57,12 @@ def lazy_max(heap: list, gain, costs=None, used=(), closed=()):
     ``used`` or ``i`` in ``closed`` are dropped unevaluated; the caller may
     grow both sets, and edit ``heap`` in place, between yields.
     """
-    pop, push = heapq.heappop, heapq.heappush
+    pop, replace = heapq.heappop, heapq.heapreplace
     cost = costs.tolist() if costs is not None else None
     while heap:
-        negk, u, i = pop(heap)
+        negk, u, i = heap[0]
         if u in used or i in closed:
+            pop(heap)
             continue
         g = gain(u, i)
         if cost is None:
@@ -69,9 +70,10 @@ def lazy_max(heap: list, gain, costs=None, used=(), closed=()):
         else:
             d = cost[i][u] + g
             k = g / d if d > 0.0 else 0.0
-        if heap and k < -negk - EPS:
-            push(heap, (-k, u, i))
+        if k < -negk - EPS and len(heap) > 1:
+            replace(heap, (-k, u, i))  # stale head: one sift, not pop + push
             continue
+        pop(heap)
         yield u, i, g
 
 

@@ -8,7 +8,9 @@ set functions, so we expose one interface:
   weighted coverage function. With a large fixed collection this *is* the
   Section-3 oracle (exact over its sample space, so the approximation-ratio
   theorems hold exactly there); with RMA's progressive collections it is the
-  Section-4 estimator.
+  Section-4 estimator. Its state keeps, as TIM does, each (advertiser, node)'s
+  count of uncovered RR sets, so a marginal gain is an O(1) read: the same
+  integer count × ``factor`` as a recount of the uncovered sets.
 - ``ExactRevenueModel``: exact π by live-edge world enumeration — ground
   truth for tiny test instances.
 
@@ -44,34 +46,44 @@ class RevenueModel:
 
 
 class _CoverageState:
+    """π̃ of an allocation built one (u, i) at a time.
+
+    Invariant: ``uncov[i·n + u]`` is the number of advertiser i's RR sets
+    that contain u and are not yet covered, so ``gain`` is one array read.
+    ``add`` marks the sets that (u, i) newly covers and decrements ``uncov``
+    once for every member of each of them.
+    """
+
     def __init__(self, model: "CoverageRevenueModel", allocation=None):
-        self.model = model
-        self.covered = np.zeros(model.rr.n_rr, dtype=bool)
+        rr = model.rr
+        self.rr = rr
+        self.n = rr.n
+        self.factor = model.factor
+        self.covered = np.zeros(rr.n_rr, dtype=bool)
         self.cov_count = np.zeros(model.h, dtype=np.int64)
+        self.uncov = np.diff(rr.index)
         if allocation is not None:
             for i in range(model.h):
                 for u in allocation[i]:
                     self.add(int(u), i)
 
     def gain(self, u: int, i: int) -> float:
-        ids = self.model.rr.rr_ids_for(u, i)
-        if len(ids) == 0:
-            return 0.0
-        return float(np.count_nonzero(~self.covered[ids])) * self.model.factor
+        return float(self.uncov[i * self.n + u]) * self.factor
 
     def add(self, u: int, i: int) -> None:
-        ids = self.model.rr.rr_ids_for(u, i)
-        if len(ids) == 0:
-            return
+        ids = self.rr.rr_ids_for(u, i)
         newly = ids[~self.covered[ids]]
+        if len(newly) == 0:
+            return
         self.covered[newly] = True
         self.cov_count[i] += len(newly)
+        np.subtract.at(self.uncov, self.rr.members_of(newly), 1)
 
     def pi_i(self, i: int) -> float:
-        return float(self.cov_count[i]) * self.model.factor
+        return float(self.cov_count[i]) * self.factor
 
     def pi_total(self) -> float:
-        return float(self.cov_count.sum()) * self.model.factor
+        return float(self.cov_count.sum()) * self.factor
 
 
 class CoverageRevenueModel(RevenueModel):

@@ -46,7 +46,7 @@ class RMAResult:
     n_rr_r1: int
     n_rr_r2: int
     theta_max: float
-    stopped_by: str  # "beta" | "theta_max" | "cap"
+    stopped_by: str  # "beta" | "theta_max" | "cap" | "zero_budgets"
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -90,8 +90,16 @@ def rm_without_oracle(
     lam = approx_ratio(h, tau)
     delta_p = delta / 4.0
 
+    if not (budgets > 0).any():
+        # Every feasible allocation is empty: nothing to sample or select.
+        return RMAResult(
+            allocation=[set() for _ in range(h)], pi_est_r1=0.0, beta=0.0,
+            feasible=True, rounds=0, n_rr_r1=0, n_rr_r2=0, theta_max=0.0,
+            stopped_by="zero_budgets",
+        )
     gamma = float(cpe.sum())
-    b_min = float(budgets.min())
+    # θ̄_max and θ₀ bound the budget error of advertisers that can spend.
+    b_min = float(budgets[budgets > 0].min())
     mu = mu_per_advertiser(costs, budgets, rho)
     theta_max = max(
         theta_hat_max(n, eps, delta_p, lam, mu),

@@ -7,7 +7,8 @@ If exactly one advertiser depleted its budget, Algorithm 1 is re-run for it
 over the unselected nodes (the A_i set of Theorem 3.2's b=1 case). Fill then
 greedily tops up every advertiser by marginal rate. Both run on the CELF
 engine in ``repro.core.celf``. An element whose rate falls below γ/B_i is
-dropped for good: its rate can only shrink.
+dropped for good: its rate can only shrink. So an element whose singleton
+rate is already below γ/B_i never enters ThresholdGreedy's heap.
 """
 from __future__ import annotations
 
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.celf import EPS, Seeds, element_heap, lazy_max
+from repro.core.celf import EPS, Seeds, element_heap, lazy_max, rate
 from repro.core.greedy import greedy
 from repro.core.model import RMProblem
 
@@ -37,7 +38,7 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
     seeds = Seeds(costs, B)  # seeds.used: nodes in ∪_j S_j ∪ D_j
     d_sets = [set() for _ in range(h)]
     depleted: set[int] = set()  # I
-    heap = element_heap(prob, by_rate=False)
+    heap = element_heap(prob, by_rate=False, keep=_clears(prob, gamma))
     for u, i, g in lazy_max(heap, state.gain, used=seeds.used, closed=depleted):
         # (u, i) is the current max-gain element of M.
         d = costs[i, u] + g
@@ -74,6 +75,20 @@ def threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
         a_sets=a_sets,
         pi_star=prob.model.pi_alloc(filled),
     )
+
+
+def _clears(prob: RMProblem, gamma: float):
+    """The (h, n) mask of elements whose singleton rate is not below γ/B_i
+    (every element when γ = 0; none of advertiser i's when B_i = 0 < γ).
+    It keeps every element Line 5 can keep: Line 5 tests the current rate,
+    which is at most the singleton rate. The mask's slack is one EPS wider
+    than Line 5's, so rounding cannot make the two disagree."""
+    if gamma <= 0.0:
+        return None
+    B = prob.budgets
+    thr = np.divide(gamma, B, out=np.full(len(B), np.inf), where=B > 0.0)
+    zeta = rate(prob.model.singleton_pi(), prob.costs)
+    return zeta >= thr[:, None] - 2.0 * EPS
 
 
 def fill(prob: RMProblem, allocation) -> list:

@@ -37,7 +37,7 @@ is the property the paper relies on in Appendix D.2.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
@@ -155,9 +155,15 @@ def _frame(blocks) -> pd.DataFrame:
 class RRCollection:
     """Indexed collection of RR sets for coverage-based revenue estimation.
 
-    ``index`` maps ``adv * n + node`` to the (start, end) slice of
-    ``sorted_rr`` holding the ids of the RR sets generated for ``adv`` that
-    contain ``node`` — the inverted index driving all greedy selection.
+    Two flat layouts over the same members, each a CSR-style offset array:
+
+    - ``index``, of shape (h·n+1,): the ids of the RR sets generated for
+      ``adv`` that contain ``node`` are
+      ``sorted_rr[index[k]:index[k+1]]``, k = ``adv * n + node`` — the
+      inverted index driving all greedy selection.
+    - the member keys ``adv * n + node`` of RR set r, the reverse view,
+      built on first use by ``members_of`` from ``exploded``, whose rows
+      are grouped by ``rr_id`` in increasing order.
     """
 
     n: int
@@ -166,8 +172,9 @@ class RRCollection:
     n_rr: int
     rr_adv: np.ndarray  # (n_rr,)
     sorted_rr: np.ndarray  # rr ids grouped by (adv, node) key
-    index: dict  # int key -> (start, end)
-    exploded: pd.DataFrame  # (rr_id, adv, node) — kept for oracle checks
+    index: np.ndarray  # (h·n+1,) offsets of each key's slice of sorted_rr
+    exploded: pd.DataFrame  # (rr_id, adv, node), grouped by rr_id
+    _members: tuple | None = field(default=None, repr=False, compare=False)
 
     @property
     def gamma(self) -> float:
@@ -179,10 +186,23 @@ class RRCollection:
         return self.n * self.gamma / self.n_rr
 
     def rr_ids_for(self, node: int, adv: int) -> np.ndarray:
-        sl = self.index.get(adv * self.n + node)
-        if sl is None:
-            return _EMPTY
-        return self.sorted_rr[sl[0] : sl[1]]
+        k = adv * self.n + node
+        return self.sorted_rr[self.index[k] : self.index[k + 1]]
+
+    def members_of(self, rr_ids: np.ndarray) -> np.ndarray:
+        """Keys ``adv * n + node`` of every member of the RR sets ``rr_ids``."""
+        if self._members is None:
+            ex = self.exploded
+            rr_indptr = np.zeros(self.n_rr + 1, dtype=np.int64)
+            np.cumsum(np.bincount(ex["rr_id"].to_numpy(), minlength=self.n_rr),
+                      out=rr_indptr[1:])
+            key = ex["adv"].to_numpy() * self.n + ex["node"].to_numpy()
+            self._members = rr_indptr, key
+        rr_indptr, key = self._members
+        lo = rr_indptr[rr_ids]
+        size = rr_indptr[rr_ids + 1] - lo
+        start = np.cumsum(size) - size  # of each set's run in the result
+        return key[np.repeat(lo - start, size) + np.arange(size.sum())]
 
     def n_covered(self, adv: int, nodes) -> int:
         """|{R for adv : R ∩ nodes ≠ ∅}| — adv's RR sets hit by ``nodes``."""
@@ -191,12 +211,7 @@ class RRCollection:
 
     def singleton_cover_counts(self) -> np.ndarray:
         """(h, n) matrix of |{R for adv i : node ∈ R}| — singleton coverage."""
-        key = (
-            self.exploded["adv"].to_numpy() * self.n
-            + self.exploded["node"].to_numpy()
-        )
-        counts = np.bincount(key, minlength=self.h * self.n)
-        return counts.reshape(self.h, self.n)
+        return np.diff(self.index).reshape(self.h, self.n)
 
     def merge(self, other: "RRCollection") -> "RRCollection":
         """Concatenate two collections (progressive-sampling doubling)."""
@@ -220,20 +235,15 @@ def _index_collection(
 ) -> RRCollection:
     key = exploded["adv"].to_numpy() * n + exploded["node"].to_numpy()
     order = np.argsort(key, kind="stable")
-    sorted_rr = exploded["rr_id"].to_numpy()[order]
-    sorted_key = key[order]
-    uniq, starts = np.unique(sorted_key, return_index=True)
-    ends = np.append(starts[1:], len(sorted_key))
-    index = {
-        int(k): (int(s), int(e)) for k, s, e in zip(uniq, starts, ends)
-    }
+    index = np.zeros(h * n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(key, minlength=h * n), out=index[1:])
     return RRCollection(
         n=n,
         h=h,
         cpe=np.asarray(cpe, dtype=np.float64),
         n_rr=n_rr,
         rr_adv=rr_adv,
-        sorted_rr=sorted_rr,
+        sorted_rr=exploded["rr_id"].to_numpy()[order],
         index=index,
         exploded=exploded,
     )

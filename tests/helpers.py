@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.model import CoverageRevenueModel, RMProblem
+from repro.core.threshold_greedy import TGResult
 from repro.influence.rrset import from_memberships
 
 
@@ -187,3 +188,46 @@ def naive_budget_greedy(prob: RMProblem, rule: str):
             S[i].add(u)
         else:
             closed.add(i)
+
+
+def naive_threshold_greedy(prob: RMProblem, gamma: float) -> TGResult:
+    """Reference Algorithm 2 — no laziness, no pruning: each step takes the
+    max-gain live element over all of Line 1's; Line 5 drops it when its
+    rate is below γ/B_i (+∞ for B_i = 0), and one that does not fit is
+    advertiser i's stopple node. Then Greedy for a single depleted
+    advertiser, the best of {S_j, D_j, A_j}, and Fill."""
+    h, B = prob.h, prob.budgets
+    S = [set() for _ in range(h)]
+    D = [set() for _ in range(h)]
+    I: set[int] = set()
+    M = line1_elements(prob)
+    while len(I) < h:
+        used = set().union(*S, *D)
+        live = [(u, i) for u, i in M if u not in used and i not in I]
+        if not live:
+            break
+        u, i = _naive_pick(prob, S, live, by_rate=False)
+        M.remove((u, i))
+        g = prob.model.state(S).gain(u, i)
+        c = prob.costs[i, u]
+        r = g / (c + g) if c + g > 0 else 0.0
+        threshold = gamma / B[i] if B[i] > 0 else np.inf
+        if gamma > 0 and r < threshold - 1e-12:
+            continue
+        if _fits(prob, S, u, i):
+            S[i].add(u)
+        else:
+            D[i] = {u}
+            I.add(i)
+    A = [set() for _ in range(h)]
+    if len(I) == 1:
+        i = next(iter(I))
+        taken = set().union(*S)
+        A[i] = naive_greedy(prob, [v for v in range(prob.n) if v not in taken], i)[0]
+    best = []
+    for j in range(h):
+        options = [S[j], D[j], A[j]]
+        vals = [prob.model.pi_of(j, o) for o in options]
+        best.append(set(options[int(np.argmax(vals))]))
+    filled = naive_fill(prob, best)
+    return TGResult(filled, len(I), S, D, A, prob.model.pi_alloc(filled))

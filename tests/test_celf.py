@@ -7,12 +7,15 @@ import pytest
 
 from repro.baselines.cs_greedy import ca_greedy, cs_greedy
 from repro.core.celf import element_heap, lazy_max
-from repro.core.threshold_greedy import fill
+from repro.core.model import RMProblem
+from repro.core.search import gamma_max
+from repro.core.threshold_greedy import fill, threshold_greedy
 
 from tests.helpers import (
     line1_elements,
     naive_budget_greedy,
     naive_fill,
+    naive_threshold_greedy,
     random_coverage_problem,
 )
 
@@ -38,6 +41,36 @@ def test_fill_matches_naive(seed):
         start[int(g.integers(0, prob.h))].add(int(u))
     for alloc in ([set() for _ in range(prob.h)], start):
         assert fill(prob, alloc) == naive_fill(prob, alloc)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_threshold_greedy_matches_naive(seed):
+    """The pruned heap changes no TGResult field, at γ = 0, across the
+    range, and just below γ_max."""
+    prob = _problem(seed)
+    top = gamma_max(prob)
+    for gamma in (0.0, 0.05 * top, 0.3 * top, 0.7 * top, 0.99 * top):
+        assert threshold_greedy(prob, gamma) == naive_threshold_greedy(prob, gamma)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_threshold_greedy_zero_budget_matches_naive(seed):
+    """Advertiser 0 has B_0 = 0 and free nodes outside its RR sets, so only
+    γ = 0 lets it take them; pruning and Line 5 never divide by B_0."""
+    base = random_coverage_problem(
+        seed, n=16, h=3, n_rr=30, max_rr_size=2, budget_range=(5.0, 20.0),
+        cost_range=(0.1, 1.5),
+    )
+    costs = base.costs.copy()
+    free = base.model.singleton_pi()[0] == 0.0
+    assert free.any()
+    costs[0, free] = 0.0
+    prob = RMProblem(base.model, costs, np.concatenate([[0.0], base.budgets[1:]]))
+    top = gamma_max(prob)
+    for gamma in (0.0, 0.3 * top, 0.99 * top):
+        res = threshold_greedy(prob, gamma)
+        assert res == naive_threshold_greedy(prob, gamma)
+        assert (res.s_sets[0] == set()) == (gamma > 0)
 
 
 @pytest.mark.parametrize("seed", SEEDS)

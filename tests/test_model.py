@@ -8,7 +8,9 @@ from repro.core.model import (
     RMProblem,
     brute_force_opt,
 )
-from repro.influence.rrset import from_memberships
+from repro.graphs.csr import build_csr
+from repro.graphs.generators import powerlaw_edges
+from repro.influence.rrset import from_memberships, generate_rr_local
 
 from repro.core.rm_oracle import rm_with_oracle
 
@@ -32,6 +34,55 @@ def test_coverage_state_matches_stateless(seed):
         sets[i].add(u)
         assert state.pi_i(i) == pytest.approx(model.pi_of(i, sets[i]))
     assert state.pi_total() == pytest.approx(model.pi_alloc(sets))
+
+
+def _generated(seed, n_rr):
+    n, h = 60, 3
+    src, dst = powerlaw_edges(n, 300, seed=seed)
+    probs = np.random.default_rng(seed).uniform(0.05, 0.4, size=(h, len(src)))
+    csr = build_csr(n, src, dst, probs, h=h, shared_probs=False)
+    return generate_rr_local(csr, [1.0, 1.5, 2.0], n_rr, seed=seed)
+
+
+COLLECTIONS = {
+    "from_memberships": lambda: random_coverage_problem(3, n=12, h=3, n_rr=90).model.rr,
+    "generated": lambda: _generated(5, 700),
+    "merged": lambda: _generated(6, 300).merge(_generated(7, 500)),
+}
+
+
+def _assert_gains_are_recounts(state, rr):
+    """Every gain(u, i) equals a stateless recount of i's uncovered RR sets
+    that contain u."""
+    for i in range(rr.h):
+        for u in range(rr.n):
+            ids = rr.rr_ids_for(u, i)
+            recount = float(np.count_nonzero(~state.covered[ids])) * rr.factor
+            assert state.gain(u, i) == recount, (u, i)
+
+
+@pytest.mark.parametrize("name", COLLECTIONS)
+@pytest.mark.parametrize("seeded", [False, True], ids=["empty", "allocation"])
+def test_incremental_gains_equal_recount(name, seeded):
+    """The O(1) gain reads stay exact after any sequence of adds, from an
+    empty state or from one seeded with an allocation (as Fill starts)."""
+    rr = COLLECTIONS[name]()
+    model = CoverageRevenueModel(rr)
+    g = np.random.default_rng(11)
+    alloc = [set() for _ in range(rr.h)]
+    if seeded:
+        for u in g.choice(rr.n, size=2 * rr.h, replace=False):
+            alloc[int(g.integers(0, rr.h))].add(int(u))
+    state = model.state(alloc if seeded else None)
+    _assert_gains_are_recounts(state, rr)
+    for _ in range(15):
+        u, i = int(g.integers(0, rr.n)), int(g.integers(0, rr.h))
+        state.add(u, i)
+        alloc[i].add(u)
+        _assert_gains_are_recounts(state, rr)
+        assert state.gain(u, i) == 0.0
+    for i in range(rr.h):
+        assert state.pi_i(i) == model.pi_of(i, alloc[i])
 
 
 @pytest.mark.parametrize("seed", range(8))

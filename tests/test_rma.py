@@ -148,3 +148,36 @@ def test_rma_rejects_bad_inputs_before_sampling(case):
     with pytest.raises(ValueError, match=match):
         rm_without_oracle(gen, costs, budgets, cpe, n)
     assert calls == []
+
+
+def test_rma_zero_budget_advertiser(small_world):
+    """A zero budget is left out of B_min: RMA runs, gives that advertiser
+    nothing (every node has a positive cost) and seeds the others."""
+    w = small_world
+    budgets = w["budgets"].copy()
+    budgets[1] = 0.0
+    res = rm_without_oracle(
+        w["gen"], w["costs"], budgets, w["cpe"], w["n"],
+        eps=0.1, rho=0.2, sample_scale=1.0, rr_cap=20_000, seed=5,
+    )
+    assert res.rounds >= 1
+    assert res.allocation[1] == set()
+    assert res.allocation[0] and res.allocation[2]
+    _, per = evaluate_revenue(w["eval_rr"], res.allocation)
+    for i in (0, 2):
+        c = sum(w["costs"][i, u] for u in res.allocation[i])
+        assert c + per[i] <= 1.2 * budgets[i] * 1.05 + 1e-9
+
+
+def test_rma_all_zero_budgets_returns_empty_allocation():
+    calls = []
+
+    def gen(n_rr, seed):
+        calls.append(n_rr)
+        raise AssertionError("no RR set is needed when no advertiser can spend")
+
+    res = rm_without_oracle(gen, np.ones((2, 5)), np.zeros(2), np.array([1.0, 1.5]), 5)
+    assert res.allocation == [set(), set()]
+    assert res.stopped_by == "zero_budgets"
+    assert (res.rounds, res.n_rr_total, res.pi_est_r1) == (0, 0, 0.0)
+    assert calls == []

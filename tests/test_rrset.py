@@ -97,6 +97,46 @@ def test_singleton_cover_counts_vs_duckdb(spark, small_csr):
         assert counts[int(row["adv"]), int(row["node"])] == row["cnt"]
 
 
+def _assert_grouped_by_rr(rr):
+    """``exploded`` lists each RR set's rows together, in increasing rr_id
+    order, so ``members_of`` can read RR set r's members as one run."""
+    ids = rr.exploded["rr_id"].to_numpy()
+    assert np.all(ids[1:] >= ids[:-1])
+    ex = rr.exploded
+    keys = ex["adv"].to_numpy() * rr.n + ex["node"].to_numpy()
+    for r in (0, rr.n_rr // 2, rr.n_rr - 1):
+        assert sorted(rr.members_of(np.array([r])).tolist()) == sorted(keys[ids == r].tolist())
+    some = np.unique([1, rr.n_rr // 3, rr.n_rr - 1])
+    assert np.array_equal(rr.members_of(some), keys[np.isin(ids, some)])
+
+
+def test_flat_index(small_csr):
+    """``index`` is the (h·n+1,) offset array of sorted_rr's key slices."""
+    rr = generate_rr_local(small_csr, CPE, 1000, seed=5)
+    ex = rr.exploded
+    key = ex["adv"].to_numpy() * rr.n + ex["node"].to_numpy()
+    assert rr.index.shape == (rr.h * rr.n + 1,)
+    assert rr.index[0] == 0 and rr.index[-1] == len(ex)
+    assert np.array_equal(
+        rr.singleton_cover_counts().ravel(), np.bincount(key, minlength=rr.h * rr.n)
+    )
+
+
+def test_grouped_by_rr_local_merge_memberships(small_csr):
+    a = generate_rr_local(small_csr, CPE, N_INVARIANT, seed=14)
+    b = generate_rr_local(small_csr, CPE, 600, seed=8)
+    memb = from_memberships(5, 2, [1.0, 1.0], [(0, {3, 0, 1}), (1, {2}), (0, {1}), (1, {4, 0})])
+    for rr in (a, a.merge(b), memb):
+        _assert_grouped_by_rr(rr)
+
+
+@pytest.mark.parametrize("parts", [1, 3, 8])
+def test_grouped_by_rr_spark(spark, small_csr, parts):
+    _assert_grouped_by_rr(generate_rr_collection(
+        spark, small_csr, CPE, N_INVARIANT, seed=14, num_partitions=parts,
+    ))
+
+
 def test_merge(small_csr):
     a = generate_rr_local(small_csr, CPE, 400, seed=7)
     b = generate_rr_local(small_csr, CPE, 600, seed=8)
